@@ -9,7 +9,7 @@
 // Administer (against the same -dir, while the server is stopped):
 //
 //	mwsd -dir /var/lib/mws register-device meter-001
-//	mwsd -dir /var/lib/mws register-client c-services -password-file pw.txt -pubkey rc.pem
+//	mwsd -dir /var/lib/mws -password-file pw.txt -pubkey rc.pem register-client c-services
 //	mwsd -dir /var/lib/mws grant c-services ELECTRIC-APTCOMPLEX-SV-CA
 //	mwsd -dir /var/lib/mws revoke c-services ELECTRIC-APTCOMPLEX-SV-CA
 //	mwsd -dir /var/lib/mws table
@@ -167,7 +167,7 @@ func main() {
 		fmt.Printf("device %s registered; MAC key (deliver out of band):\n%s\n", args[1], hex.EncodeToString(key))
 	case "register-client":
 		if len(args) != 2 || *passwordFile == "" || *pubKeyFile == "" {
-			die(logger, "usage", errors.New("register-client <id> -password-file f -pubkey f.pem"))
+			die(logger, "usage", errors.New("-password-file f -pubkey f.pem register-client <id> (flags before the subcommand)"))
 		}
 		pw, err := os.ReadFile(*passwordFile)
 		if err != nil {

@@ -6,7 +6,7 @@
 // Generate a keypair (once) and register with mwsd:
 //
 //	rcclient keygen -rsa-key rc.key -pubkey rc.pem
-//	mwsd -dir ... register-client c-services -password-file pw.txt -pubkey rc.pem
+//	mwsd -dir ... -password-file pw.txt -pubkey rc.pem register-client c-services
 //
 // Retrieve:
 //

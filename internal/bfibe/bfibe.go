@@ -147,6 +147,17 @@ func (p *Params) gID(id []byte) (pairing.GT, error) {
 // client stores next to the symmetric ciphertext.
 type Encapsulation struct {
 	U ec.Point
+
+	// inG1 is the point UnmarshalEncapsulation validated or Encapsulate
+	// computed, when set: while U still equals it, decapsulation skips
+	// repeating the order-q check, the costliest part of validation.
+	inG1    ec.Point
+	hasInG1 bool
+}
+
+// markInG1 records that e.U, as it is now, lies in G1.
+func (e *Encapsulation) markInG1() {
+	e.inG1, e.hasInG1 = e.U, true
 }
 
 // Encapsulate derives a fresh symmetric key of keyLen bytes for the given
@@ -165,7 +176,9 @@ func (p *Params) Encapsulate(id []byte, keyLen int, rng io.Reader) (*Encapsulati
 	u := p.Sys.G1Comb().Mul(r)
 	// r keys the pad, so the exponentiation takes the constant-time path.
 	shared := p.Sys.GTExpSecret(g, r)
-	return &Encapsulation{U: u}, kdf.SessionKey(shared.Bytes(), keyLen), nil
+	enc := &Encapsulation{U: u}
+	enc.markInG1()
+	return enc, kdf.SessionKey(shared.Bytes(), keyLen), nil
 }
 
 // Decapsulate recomputes the symmetric key from U and the identity's
@@ -174,7 +187,7 @@ func (p *Params) Decapsulate(sk *PrivateKey, enc *Encapsulation, keyLen int) ([]
 	if sk == nil || enc == nil {
 		return nil, errors.New("bfibe: nil key or encapsulation")
 	}
-	if err := p.checkEncapsulationPoint(enc.U); err != nil {
+	if err := p.checkEncapsulationPoint(enc); err != nil {
 		return nil, err
 	}
 	shared := p.Sys.Pair(sk.D, enc.U)
@@ -184,10 +197,16 @@ func (p *Params) Decapsulate(sk *PrivateKey, enc *Encapsulation, keyLen int) ([]
 // checkEncapsulationPoint validates an encapsulation point before it may
 // meet private-key material. The order check matters: an on-curve point
 // outside G1 pairs into a small subgroup and probes the private key (the
-// invalid-point attack); honest encapsulations are always rP ∈ G1.
-func (p *Params) checkEncapsulationPoint(u ec.Point) error {
+// invalid-point attack); honest encapsulations are always rP ∈ G1. A
+// point the decoder already checked, or Encapsulate computed, is not
+// checked again unless U has since been changed.
+func (p *Params) checkEncapsulationPoint(enc *Encapsulation) error {
+	u := enc.U
 	if u.Inf || !p.Sys.Curve.IsOnCurve(u) {
 		return errors.New("bfibe: encapsulation point off curve")
+	}
+	if enc.hasInG1 && u.Equal(enc.inG1) {
+		return nil
 	}
 	if !p.Sys.Curve.ScalarBaseOrderCheck(u) {
 		return errors.New("bfibe: encapsulation point not in the order-q subgroup")
@@ -222,7 +241,7 @@ func (d *Decapsulator) Decapsulate(enc *Encapsulation, keyLen int) ([]byte, erro
 	if enc == nil {
 		return nil, errors.New("bfibe: nil encapsulation")
 	}
-	if err := d.p.checkEncapsulationPoint(enc.U); err != nil {
+	if err := d.p.checkEncapsulationPoint(enc); err != nil {
 		return nil, err
 	}
 	shared := d.pre.Pair(enc.U)

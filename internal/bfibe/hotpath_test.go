@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mwskit/internal/ec"
+	"mwskit/internal/obsv"
 	"mwskit/internal/pairing"
 )
 
@@ -68,6 +69,13 @@ func TestDecapsulationRejectsOffSubgroupPoint(t *testing.T) {
 	ctf := &CiphertextFull{U: bad, V: make([]byte, sigmaLen), W: []byte("yy")}
 	if _, err := p.DecryptFull(sk, ctf); err == nil {
 		t.Error("DecryptFull accepted an off-subgroup U")
+	}
+	d, err := p.NewDecapsulator(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Decapsulate(&Encapsulation{U: bad}, 16); err == nil {
+		t.Error("Decapsulator accepted an off-subgroup U")
 	}
 	// The wire boundary must reject it before it is even representable.
 	if _, err := UnmarshalEncapsulation(p, p.Sys.Curve.Bytes(bad)); err == nil {
@@ -219,4 +227,74 @@ func TestGIDCacheConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// orderChecks counts the order-q checks (public scalar multiplications)
+// f runs.
+func orderChecks(f func()) uint64 {
+	before := obsv.CounterMap()["scalar_mult_public"]
+	f()
+	return obsv.CounterMap()["scalar_mult_public"] - before
+}
+
+// TestDecapsulationChecksOrderOnce pins one order check per encapsulation
+// point: the decoder's, or none for a point Encapsulate computed.
+// Decapsulation repeats it only for a U it cannot vouch for — a
+// hand-built Encapsulation, or one whose U was replaced after the check.
+func TestDecapsulationChecksOrderOnce(t *testing.T) {
+	p, mk := testSetup(t)
+	id := []byte("meter-7")
+	sk, err := mk.Extract(p, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := p.NewDecapsulator(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, want, err := p.Encapsulate(id, 16, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decaps := map[string]func(*Encapsulation) ([]byte, error){
+		"Params.Decapsulate":       func(e *Encapsulation) ([]byte, error) { return p.Decapsulate(sk, e, 16) },
+		"Decapsulator.Decapsulate": func(e *Encapsulation) ([]byte, error) { return d.Decapsulate(e, 16) },
+	}
+
+	var decoded *Encapsulation
+	if n := orderChecks(func() { decoded, err = UnmarshalEncapsulation(p, MarshalEncapsulation(p, enc)) }); err != nil || n != 1 {
+		t.Fatalf("decoding: %d order checks, err %v; want 1, nil", n, err)
+	}
+	for name, decap := range decaps {
+		for _, c := range []struct {
+			what   string
+			enc    *Encapsulation
+			checks uint64
+		}{
+			{"encapsulated", enc, 0},
+			{"decoded", decoded, 0},
+			{"hand-built", &Encapsulation{U: enc.U}, 1},
+		} {
+			var got []byte
+			n := orderChecks(func() { got, err = decap(c.enc) })
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s of the %s encapsulation: err %v, key match %v", name, c.what, err, bytes.Equal(got, want))
+			}
+			if n != c.checks {
+				t.Errorf("%s of the %s encapsulation ran %d order checks, want %d", name, c.what, n, c.checks)
+			}
+		}
+	}
+
+	// A checked Encapsulation whose U is then replaced by an on-curve
+	// point outside G1 must not ride on the earlier check.
+	bad := offSubgroupU(t, p.Sys.Curve)
+	for name, decap := range decaps {
+		for what, e := range map[string]Encapsulation{"encapsulated": *enc, "decoded": *decoded} {
+			e.U = bad
+			if _, err := decap(&e); err == nil {
+				t.Errorf("%s accepted an off-subgroup U written into the %s encapsulation", name, what)
+			}
+		}
+	}
 }

@@ -69,13 +69,16 @@ func MarshalEncapsulation(p *Params, e *Encapsulation) []byte {
 }
 
 // UnmarshalEncapsulation decodes U, rejecting off-subgroup points before
-// they can reach a decapsulation pairing.
+// they can reach a decapsulation pairing. The returned Encapsulation
+// remembers the check, so decapsulating it does not repeat it.
 func UnmarshalEncapsulation(p *Params, b []byte) (*Encapsulation, error) {
 	u, err := p.Sys.Curve.SubgroupPointFromBytes(b)
 	if err != nil {
 		return nil, fmt.Errorf("bfibe: encapsulation: %w", err)
 	}
-	return &Encapsulation{U: u}, nil
+	enc := &Encapsulation{U: u}
+	enc.markInG1()
+	return enc, nil
 }
 
 // MarshalCiphertextFull encodes (U, V, W).

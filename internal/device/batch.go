@@ -3,10 +3,9 @@ package device
 import (
 	"context"
 	"errors"
-	"runtime"
-	"sync"
 
 	"mwskit/internal/attr"
+	"mwskit/internal/par"
 	"mwskit/internal/wire"
 )
 
@@ -36,55 +35,13 @@ func (d *Device) PrepareDeposits(ctx context.Context, items []BatchItem) ([]*wir
 	if len(items) == 0 {
 		return nil, nil
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(items) {
-		workers = len(items)
-	}
 	reqs := make([]*wire.DepositRequest, len(items))
-	idx := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err; cancel() })
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				req, err := d.PrepareDeposit(items[i].Attribute, items[i].Payload)
-				if err != nil {
-					fail(err)
-					return
-				}
-				reqs[i] = req
-			}
-		}()
-	}
-feed:
-	for i := range items {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	err := par.ForEach(ctx, len(items), func(_ context.Context, i int) error {
+		req, err := d.PrepareDeposit(items[i].Attribute, items[i].Payload)
+		reqs[i] = req
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return reqs, nil

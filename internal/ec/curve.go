@@ -154,9 +154,17 @@ func (c *Curve) Sub(p, q Point) Point { return c.Add(p, q.Neg()) }
 // Secret scalars must go through ScalarMultSecret or a Comb; the mwslint
 // vartime analyzer enforces that split.
 func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
+	return c.fromJacobian(c.scalarMultJac(p, k))
+}
+
+// scalarMultJac is ScalarMult's window loop, leaving the result in
+// Jacobian coordinates so callers that only test for the identity skip
+// the field inversion of the affine conversion. It counts as one public
+// scalar multiplication.
+func (c *Curve) scalarMultJac(p Point, k *big.Int) jacPoint {
 	obsv.AddScalarMultPublic()
 	if p.Inf || k.Sign() == 0 {
-		return c.Infinity()
+		return c.jacInfinity()
 	}
 	kk := k
 	if k.Sign() < 0 {
@@ -190,7 +198,7 @@ func (c *Curve) ScalarMult(p Point, k *big.Int) Point {
 		r = c.jacAdd(r, tbl[(val-1)/2])
 		i = l - 1
 	}
-	return c.fromJacobian(r)
+	return r
 }
 
 // scalarMultBinary is the textbook double-and-add ScalarMult replaced.
@@ -217,9 +225,11 @@ func (c *Curve) scalarMultBinary(p Point, k *big.Int) Point {
 	return c.fromJacobian(r)
 }
 
-// ScalarBaseOrderCheck reports whether p lies in the order-q subgroup.
+// ScalarBaseOrderCheck reports whether p lies in the order-q subgroup:
+// q·p is the identity, read off the Jacobian Z = 0 without converting
+// the product to affine coordinates.
 func (c *Curve) ScalarBaseOrderCheck(p Point) bool {
-	return c.ScalarMult(p, c.Q).Inf
+	return c.scalarMultJac(p, c.Q).isInf()
 }
 
 // ClearCofactor multiplies by h = (p+1)/q, projecting a curve point into

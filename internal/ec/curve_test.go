@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mwskit/internal/ff"
+	"mwskit/internal/obsv"
 )
 
 // Small test curve: p = 1051 ≡ 3 (mod 4) is prime; #E = p + 1 = 1052 =
@@ -180,6 +181,46 @@ func TestSubgroupMembership(t *testing.T) {
 		if !c.ScalarBaseOrderCheck(m) {
 			t.Fatalf("%d·G left the subgroup", i)
 		}
+	}
+}
+
+// TestScalarBaseOrderCheckEveryPoint compares the Jacobian-domain order
+// check with the affine double-and-add reference on every point of the
+// small curve, inside and outside the subgroup, and pins its cost at one
+// public scalar multiplication per call.
+func TestScalarBaseOrderCheckEveryPoint(t *testing.T) {
+	c := smallCurve(t)
+	pts := []Point{c.Infinity()}
+	for x := int64(0); x < smallP.Int64(); x++ {
+		xe := c.F.FromInt64(x)
+		y, ok := xe.Square().Mul(xe).Add(xe).Sqrt()
+		if !ok {
+			continue
+		}
+		pts = append(pts, Point{X: xe, Y: y})
+		if !y.IsZero() {
+			pts = append(pts, Point{X: xe, Y: y.Neg()})
+		}
+	}
+	if len(pts) != 1052 {
+		t.Fatalf("enumerated %d points, want #E = p+1 = 1052", len(pts))
+	}
+	in := 0
+	before := obsv.CounterMap()["scalar_mult_public"]
+	for _, p := range pts {
+		want := c.scalarMultBinary(p, c.Q).Inf
+		if got := c.ScalarBaseOrderCheck(p); got != want {
+			t.Fatalf("ScalarBaseOrderCheck(%v) = %v, want %v", p, got, want)
+		}
+		if want {
+			in++
+		}
+	}
+	if n := obsv.CounterMap()["scalar_mult_public"] - before; n != uint64(len(pts)) {
+		t.Fatalf("%d order checks counted %d public scalar multiplications", len(pts), n)
+	}
+	if in != int(smallQ.Int64()) {
+		t.Fatalf("%d points passed the order check, want q = %v", in, smallQ)
 	}
 }
 

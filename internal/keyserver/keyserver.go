@@ -27,6 +27,7 @@ import (
 	"mwskit/internal/metrics"
 	"mwskit/internal/obsv"
 	"mwskit/internal/pairing"
+	"mwskit/internal/par"
 	"mwskit/internal/peks"
 	"mwskit/internal/storage"
 	"mwskit/internal/symenc"
@@ -219,17 +220,11 @@ func (s *Service) Extract(ctx context.Context, req *wire.ExtractRequest) (*wire.
 	}
 	authSp.End()
 
-	extractCtx, extSp := obsv.StartSpan(ctx, "ibe.extract")
-	extSp.SetAttr("items", fmt.Sprintf("%d", len(req.Items)))
-	defer extSp.End()
-	resp := &wire.ExtractResponse{SealedKeys: make([][]byte, len(req.Items))}
+	// Resolve every item before any extraction: a request naming an AID
+	// its ticket does not grant, or a malformed nonce, is refused without
+	// the master key doing any work.
+	identities := make([][]byte, len(req.Items))
 	for i, item := range req.Items {
-		// Each extraction is a scalar multiplication in G1; honor the
-		// request deadline between items so a huge batch cannot pin the
-		// server past its budget.
-		if em := wire.CtxErr(extractCtx); em != nil {
-			return nil, em
-		}
 		a, ok := tk.AttributeByAID(attr.ID(item.AID))
 		if !ok {
 			// The RC asked for an AID its ticket does not grant.
@@ -239,20 +234,46 @@ func (s *Service) Extract(ctx context.Context, req *wire.ExtractRequest) (*wire.
 		if err != nil {
 			return nil, &wire.ErrorMsg{Code: wire.CodeBadRequest, Message: err.Error()}
 		}
-		identity := attr.Identity(a, nonce)
-		sk, err := s.master.Extract(s.params, identity)
+		identities[i] = attr.Identity(a, nonce)
+	}
+
+	extractCtx, extSp := obsv.StartSpan(ctx, "ibe.extract")
+	extSp.SetAttr("items", fmt.Sprintf("%d", len(req.Items)))
+	defer extSp.End()
+	resp := &wire.ExtractResponse{SealedKeys: make([][]byte, len(req.Items))}
+	// Every item has its own identity, so the extractions are independent
+	// and run across the cores.
+	err = par.ForEach(extractCtx, len(identities), func(ctx context.Context, i int) error {
+		// Each extraction is a scalar multiplication in G1; honor the
+		// request deadline between items so a huge batch cannot pin the
+		// server past its budget.
+		if em := wire.CtxErr(ctx); em != nil {
+			return em
+		}
+		sk, err := s.master.Extract(s.params, identities[i])
 		if err != nil {
-			extSp.SetErr(err)
 			s.cfg.Logger.Error("keyserver: extract", "err", err)
-			return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "extract failure"}
+			return &wire.ErrorMsg{Code: wire.CodeInternal, Message: "extract failure"}
 		}
 		plain := bfibe.MarshalPrivateKey(s.params, sk)
 		sealed, err := s.seal.Seal(tk.SessionKey, plain, []byte(sealedKeyAAD))
 		if err != nil {
-			extSp.SetErr(err)
-			return nil, &wire.ErrorMsg{Code: wire.CodeInternal, Message: "seal failure"}
+			return &wire.ErrorMsg{Code: wire.CodeInternal, Message: "seal failure"}
 		}
 		resp.SealedKeys[i] = sealed
+		return nil
+	})
+	if err != nil {
+		var em *wire.ErrorMsg
+		if !errors.As(err, &em) {
+			// The request's context ended between items: report it as the
+			// per-item deadline check does.
+			em = wire.CtxErr(extractCtx)
+		}
+		if em.Code == wire.CodeInternal {
+			extSp.SetErr(err)
+		}
+		return nil, em
 	}
 	s.cfg.Logger.Debug("keyserver: extract", "rc", req.RC, "keys", len(req.Items))
 	return resp, nil

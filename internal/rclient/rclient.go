@@ -15,14 +15,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"time"
 
 	"mwskit/internal/attr"
 	"mwskit/internal/bfibe"
 	"mwskit/internal/keyserver"
 	"mwskit/internal/obsv"
+	"mwskit/internal/par"
 	"mwskit/internal/symenc"
 	"mwskit/internal/ticket"
 	"mwskit/internal/userdb"
@@ -200,18 +199,24 @@ func (c *Client) FetchKeysContext(ctx context.Context, pkg *wire.Client, r *Retr
 	if len(er.SealedKeys) != len(items) {
 		return nil, nil, fmt.Errorf("rclient: got %d keys for %d items", len(er.SealedKeys), len(items))
 	}
-	_, openSp := obsv.StartSpan(ctx, "keys.open")
+	// Each sealed key carries its own identity's point, so the AEAD opens
+	// and the subgroup checks of the decoded points run across the cores.
+	openCtx, openSp := obsv.StartSpan(ctx, "keys.open")
+	opened := make([]*bfibe.PrivateKey, len(items))
+	err = par.ForEach(openCtx, len(items), func(_ context.Context, i int) error {
+		sk, err := keyserver.OpenSealedKey(c.params, r.SessionKey, er.SealedKeys[i])
+		opened[i] = sk
+		return err
+	})
+	openSp.SetErr(err)
+	openSp.End()
+	if err != nil {
+		return nil, nil, err
+	}
 	keys := make(map[keyIndex]*bfibe.PrivateKey, len(items))
-	for i, sealed := range er.SealedKeys {
-		sk, err := keyserver.OpenSealedKey(c.params, r.SessionKey, sealed)
-		if err != nil {
-			openSp.SetErr(err)
-			openSp.End()
-			return nil, nil, err
-		}
+	for i, sk := range opened {
 		keys[keyIndexOf(items[i].AID, items[i].Nonce)] = sk
 	}
-	openSp.End()
 	return keys, items, nil
 }
 
@@ -262,14 +267,14 @@ func (c *Client) decryptWith(env *Envelope, d *bfibe.Decapsulator) (*Message, er
 }
 
 // DecryptRetrieval decrypts every message in a retrieval with the
-// extracted keys, in deposit order, fanning the per-message pairing work
-// across a GOMAXPROCS-wide worker pool. The pairing's Miller-loop lines
-// are precomputed once per key (bfibe.Decapsulator) and shared by all
-// messages under that key — the batch-decryption shape the multi-pairing
-// layer exists for — so each message pays only the F_p² accumulation,
-// the final exponentiation, and an AEAD open. The first failure (a
-// missing key, a bad point, a forged ciphertext) cancels the remaining
-// work.
+// extracted keys, in deposit order, fanning the per-key and per-message
+// pairing work across a GOMAXPROCS-wide worker pool. The pairing's
+// Miller-loop lines are precomputed once per key (bfibe.Decapsulator) and
+// shared by all messages under that key — the batch-decryption shape the
+// multi-pairing layer exists for — so each message pays only the F_p²
+// accumulation, the final exponentiation, and an AEAD open. The first
+// failure (a missing key, a bad point, a forged ciphertext) cancels the
+// remaining work.
 func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[keyIndex]*bfibe.PrivateKey) ([]*Message, error) {
 	if len(r.Items) == 0 {
 		return nil, nil
@@ -277,72 +282,41 @@ func (c *Client) DecryptRetrieval(ctx context.Context, r *Retrieval, keys map[ke
 	_, decSp := obsv.StartSpan(ctx, "ibe.decapsulate")
 	decSp.SetAttr("messages", fmt.Sprintf("%d", len(r.Items)))
 	defer decSp.End()
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 
-	// One Decapsulator per distinct key, built up front: every message of
-	// a (attribute, nonce) group reuses its key's precomputed lines.
-	decaps := make(map[keyIndex]*bfibe.Decapsulator, len(keys))
-	for ki, sk := range keys {
-		d, err := c.params.NewDecapsulator(sk)
-		if err != nil {
-			return nil, err
-		}
-		decaps[ki] = d
+	// One Decapsulator per distinct key: every message of an (attribute,
+	// nonce) group reuses its key's precomputed lines. The protocol's
+	// per-message identities make the keys as many as the messages, so
+	// the precomputations are spread over the pool too.
+	kis := make([]keyIndex, 0, len(keys))
+	for ki := range keys {
+		kis = append(kis, ki)
+	}
+	built := make([]*bfibe.Decapsulator, len(kis))
+	err := par.ForEach(ctx, len(kis), func(_ context.Context, i int) error {
+		d, err := c.params.NewDecapsulator(keys[kis[i]])
+		built[i] = d
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	decaps := make(map[keyIndex]*bfibe.Decapsulator, len(kis))
+	for i, ki := range kis {
+		decaps[ki] = built[i]
 	}
 
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(r.Items) {
-		workers = len(r.Items)
-	}
 	out := make([]*Message, len(r.Items))
-	idx := make(chan int)
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err; cancel() })
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				env := &r.Items[i]
-				d, ok := decaps[keyIndexOf(env.AID, env.Nonce)]
-				if !ok {
-					fail(fmt.Errorf("rclient: missing key for message %d", env.Seq))
-					return
-				}
-				m, err := c.decryptWith(env, d)
-				if err != nil {
-					fail(err)
-					return
-				}
-				out[i] = m
-			}
-		}()
-	}
-feed:
-	for i := range r.Items {
-		select {
-		case idx <- i:
-		case <-ctx.Done():
-			break feed
+	err = par.ForEach(ctx, len(r.Items), func(_ context.Context, i int) error {
+		env := &r.Items[i]
+		d, ok := decaps[keyIndexOf(env.AID, env.Nonce)]
+		if !ok {
+			return fmt.Errorf("rclient: missing key for message %d", env.Seq)
 		}
-	}
-	close(idx)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+		m, err := c.decryptWith(env, d)
+		out[i] = m
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
